@@ -9,10 +9,18 @@ whole workload, and — crucially for kernel throughput — preserves the
 so windowed chunked workloads still take the engine's inline arrival
 fast path.
 
-Regenerating the full stream for every visit and slicing it (rather
-than generating per-visit streams) is deliberate: the packet sequence a
-UE emits must not depend on its mobility timeline, so the same device
-under different metros — or under none — produces the same traffic.
+Every visit slices the UE's one full-horizon stream (rather than
+generating a per-visit stream): the packet sequence a UE emits must not
+depend on its mobility timeline, so the same device under different
+metros — or under none — produces the same traffic.  A window does not
+*replay* that stream from t = 0, though: it *seeks*.  Sources with a
+``seek(start)`` method (chunked application streams and merged user-day
+streams) never generate a chunk that ends before the window opens.
+That is exact because chunks are independent — chunk *k* is a pure
+function of its hashed seed, offset and length — so the kept chunks
+are the same packets a full replay would have built (see
+:meth:`~repro.traces.streaming.ChunkedPacketStream.seek` and
+``docs/DESIGN.md`` §3.2).
 """
 
 from __future__ import annotations
@@ -33,12 +41,16 @@ def windowed_stream(source: Iterable[Packet], start: float,
     Returns a block-capable stream (with ``packet_blocks()``) when
     ``source`` has one, else a plain filtering iterator.  ``source``
     must be time-ordered, which every generator in :mod:`repro.traces`
-    guarantees.
+    guarantees, and unread; a source with ``seek(start)`` is told to
+    skip the chunks that end before the window.
     """
     if start < 0:
         raise ValueError(f"window start must be >= 0, got {start}")
     if stop <= start:
         raise ValueError(f"window stop ({stop}) must be > start ({start})")
+    seek = getattr(source, "seek", None)
+    if seek is not None:
+        seek(start)
     if getattr(source, "packet_blocks", None) is not None:
         return _WindowedBlockStream(source, start, stop)
     return _windowed_iter(source, start, stop)

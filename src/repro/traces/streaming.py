@@ -50,6 +50,7 @@ RateEnvelope = Callable[[float], float]
 __all__ = [
     "ChunkedPacketStream",
     "RateEnvelope",
+    "UserDayStream",
     "merge_packet_streams",
     "stream_application_packets",
     "stream_user_day_packets",
@@ -91,7 +92,7 @@ class ChunkedPacketStream:
     sequence, so mixing them never duplicates or drops packets.
     """
 
-    __slots__ = ("_chunks", "_buf", "_idx")
+    __slots__ = ("_spec", "_chunks", "_buf", "_idx")
 
     def __init__(
         self,
@@ -105,10 +106,35 @@ class ChunkedPacketStream:
             raise ValueError(f"duration must be positive, got {duration}")
         if chunk_s <= 0:
             raise ValueError(f"chunk_s must be positive, got {chunk_s}")
-        self._chunks = self._generate_chunks(name, duration, seed, chunk_s,
-                                             envelope)
+        # The chunk generator is created on first read, so seek() can
+        # still choose where it starts; until then only its arguments are
+        # held.
+        self._spec: tuple | None = (name, duration, seed, chunk_s, envelope,
+                                    0.0)
+        self._chunks: Iterator[list[Packet]] | None = None
         self._buf: Sequence[Packet] = ()
         self._idx = 0
+
+    def seek(self, start: float) -> None:
+        """Never generate a chunk that ends strictly before ``start``.
+
+        For consumers that discard every packet before ``start`` (visit
+        windows): a chunk whose end ``offset + length`` lies before
+        ``start`` is skipped ungenerated.  The chunk containing ``start``
+        is still delivered whole, so packets before ``start`` may still
+        arrive and the consumer keeps filtering.  Every packet at or after
+        ``start`` is delivered exactly as without the seek.  Must be
+        called before the stream is first read.
+        """
+        if self._spec is None:
+            raise RuntimeError("seek() must precede the first read")
+        self._spec = self._spec[:-1] + (start,)
+
+    def _chunk_iter(self) -> Iterator[list[Packet]]:
+        if self._chunks is None:
+            self._chunks = self._generate_chunks(*self._spec)
+            self._spec = None
+        return self._chunks
 
     @staticmethod
     def _generate_chunks(
@@ -117,34 +143,34 @@ class ChunkedPacketStream:
         seed: int,
         chunk_s: float,
         envelope: RateEnvelope | None,
+        start: float,
     ) -> Iterator[list[Packet]]:
         """Yield one absolute-time packet list per generated chunk.
 
-        Chunk 0 reuses the generator's packets unmodified (adding an
-        offset of 0.0 preserves every timestamp, so the copy the old
-        per-packet ``shifted(0.0)`` produced held identical values);
-        later chunks rebuild each packet once at ``timestamp + offset`` —
-        the same float addition ``Packet.shifted`` performs.
+        Chunk *k* is a pure function of its hashed seed, its offset and
+        its length (plus the envelope), so chunks are independent: a
+        chunk that ends strictly before ``start`` (``offset + length <
+        start``) is skipped without being generated, while ``offset`` and
+        ``index`` still advance by the same additions.  The comparison is
+        strict because rounding is monotonic but not strictly so: a
+        packet at local time just under ``length`` can land exactly on
+        ``offset + length``, so a chunk ending *at* ``start`` may hold a
+        packet at ``start``.  Each packet is built once, at ``local +
+        offset`` (see :func:`generate_application_packets`).
         """
         offset = 0.0
         index = 0
         while offset < duration:
             length = min(chunk_s, duration - offset)
-            rate = None
-            if envelope is not None:
-                def rate(local: float, _offset: float = offset) -> float:
-                    return envelope(_offset + local)
-            chunk = generate_application_packets(
-                name, duration=length, seed=_chunk_seed(seed, index),
-                rate=rate,
-            )
-            if offset:
-                chunk = [
-                    Packet(p.timestamp + offset, p.size, p.direction,
-                           p.flow_id, p.app)
-                    for p in chunk
-                ]
-            yield chunk
+            if offset + length >= start:
+                rate = None
+                if envelope is not None:
+                    def rate(local: float, _offset: float = offset) -> float:
+                        return envelope(_offset + local)
+                yield generate_application_packets(
+                    name, duration=length, seed=_chunk_seed(seed, index),
+                    rate=rate, offset=offset,
+                )
             offset += length
             index += 1
 
@@ -156,7 +182,7 @@ class ChunkedPacketStream:
         if idx < len(self._buf):
             self._idx = idx + 1
             return self._buf[idx]
-        for chunk in self._chunks:
+        for chunk in self._chunk_iter():
             if chunk:
                 self._buf = chunk
                 self._idx = 1
@@ -175,7 +201,7 @@ class ChunkedPacketStream:
             self._buf = ()
             self._idx = 0
             yield rest
-        yield from self._chunks
+        yield from self._chunk_iter()
 
 
 def stream_application_packets(
@@ -209,8 +235,8 @@ def stream_user_day_packets(
     seed: int = 0,
     chunk_s: float = 600.0,
     envelope: RateEnvelope | None = None,
-) -> Iterator[Packet]:
-    """Yield a multi-application device workload lazily.
+) -> UserDayStream:
+    """A multi-application device workload, merged lazily.
 
     One stream per application (flow ids remapped so applications never
     collide), merged in time order — the streaming analogue of building a
@@ -219,17 +245,48 @@ def stream_user_day_packets(
     with the same time-of-day rate multipliers (see
     :func:`stream_application_packets`).
     """
-    streams = [
-        _remap_flows(
-            stream_application_packets(
-                app, duration=duration, seed=_app_stream_seed(seed, index),
-                chunk_s=chunk_s, envelope=envelope,
-            ),
-            offset=index * 1_000_000,
+    return UserDayStream([
+        stream_application_packets(
+            app, duration=duration, seed=_app_stream_seed(seed, index),
+            chunk_s=chunk_s, envelope=envelope,
         )
         for index, app in enumerate(apps)
-    ]
-    return merge_packet_streams(*streams)
+    ])
+
+
+class UserDayStream:
+    """A user-day workload: application streams merged in time order.
+
+    Application ``i``'s flow ids are offset by ``i * 1_000_000``.  A
+    packet iterator like the ``heapq.merge`` it wraps (iterating it walks
+    that merge directly), plus :meth:`seek`, which forwards to every
+    application stream before the merge starts.
+    """
+
+    __slots__ = ("_streams", "_merged")
+
+    def __init__(self, streams: Sequence[ChunkedPacketStream]) -> None:
+        self._streams = streams
+        self._merged: Iterator[Packet] | None = None
+
+    def seek(self, start: float) -> None:
+        """:meth:`ChunkedPacketStream.seek` on every application stream."""
+        for stream in self._streams:
+            stream.seek(start)
+
+    def _merge(self) -> Iterator[Packet]:
+        if self._merged is None:
+            self._merged = merge_packet_streams(*(
+                _remap_flows(stream, index * 1_000_000) if index else stream
+                for index, stream in enumerate(self._streams)
+            ))
+        return self._merged
+
+    def __iter__(self) -> Iterator[Packet]:
+        return self._merge()
+
+    def __next__(self) -> Packet:
+        return next(self._merge())
 
 
 def _remap_flows(stream: Iterator[Packet], offset: int) -> Iterator[Packet]:

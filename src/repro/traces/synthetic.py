@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -76,6 +77,14 @@ class PacketTrainSpec:
         # precomputing the rate once is the identical float the per-call
         # ``1.0 / intra_gap_mean`` division produced.
         object.__setattr__(self, "_intra_rate", 1.0 / self.intra_gap_mean)
+        # (size, direction) of each packet in emission order, walked by
+        # emit().
+        object.__setattr__(
+            self, "_shape",
+            ((self.uplink_size, Direction.UPLINK),) * self.uplink_packets
+            + ((self.downlink_size, Direction.DOWNLINK),)
+            * self.downlink_packets,
+        )
 
     def emit(
         self,
@@ -83,24 +92,34 @@ class PacketTrainSpec:
         start: float,
         flow_id: int,
         app: str,
+        offset: float = 0.0,
+        times: list[float] | None = None,
     ) -> list[Packet]:
-        """Materialise the burst starting at time ``start``."""
+        """Materialise the burst starting at (local) time ``start``.
+
+        A nonzero ``offset`` builds each packet once at ``local + offset``
+        (the float addition :meth:`Packet.shifted` performs) and appends
+        each packet's local time to ``times``; the RNG draws are the same
+        either way.
+        """
         packets: list[Packet] = []
         append = packets.append
         expovariate = rng.expovariate
         intra_rate = self._intra_rate
         intra_max = self.intra_gap_max
         time = start
-        uplink_size = self.uplink_size
-        for _ in range(self.uplink_packets):
-            append(Packet(time, uplink_size, Direction.UPLINK, flow_id, app))
-            gap = expovariate(intra_rate)
-            time += gap if gap < intra_max else intra_max
-        downlink_size = self.downlink_size
-        for _ in range(self.downlink_packets):
-            append(Packet(time, downlink_size, Direction.DOWNLINK, flow_id, app))
-            gap = expovariate(intra_rate)
-            time += gap if gap < intra_max else intra_max
+        if offset:
+            mark = times.append
+            for size, direction in self._shape:
+                append(Packet(time + offset, size, direction, flow_id, app))
+                mark(time)
+                gap = expovariate(intra_rate)
+                time += gap if gap < intra_max else intra_max
+        else:
+            for size, direction in self._shape:
+                append(Packet(time, size, direction, flow_id, app))
+                gap = expovariate(intra_rate)
+                time += gap if gap < intra_max else intra_max
         return packets
 
 
@@ -283,6 +302,7 @@ def generate_application_packets(
     duration: float = 7200.0,
     seed: int = 0,
     rate: Callable[[float], float] | None = None,
+    offset: float = 0.0,
 ) -> list[Packet]:
     """The time-sorted packet list of one application run.
 
@@ -294,6 +314,13 @@ def generate_application_packets(
     (:mod:`repro.traces.streaming`) consumes these lists directly so the
     kernel can walk chunk-local arrays instead of paying a container
     round-trip per chunk.
+
+    ``offset`` places the run at absolute time ``offset``: every packet
+    is built once at ``local + offset``, the same float addition as
+    ``Packet.shifted(offset)`` on the offset-0 list.  Everything else —
+    ``duration``, ``rate`` and the stable sort — stays on local time:
+    two distinct local times can round to one absolute time, and a sort
+    keyed on absolute times would then reorder overlapping bursts.
     """
     profile = _resolve_application_profile(app)
     if duration <= 0:
@@ -312,7 +339,10 @@ def generate_application_packets(
 
     rng = random.Random(seed)
     packets: list[Packet] = []
+    times: list[float] = []  # local times, kept on the offset path only
     time = next_gap(0.0)
+    last = -math.inf  # local time of the last packet kept
+    overlapped = False
     flow_counter = 0
     flow_cycle = max(1, profile.flows)
     name = profile.name
@@ -320,17 +350,36 @@ def generate_application_packets(
         train = profile.draw_train(rng)
         flow_id = flow_counter % flow_cycle
         flow_counter += 1
-        burst = train.emit(rng, time, flow_id, name)
+        if time < last:
+            overlapped = True
         # Burst packets are time-ordered, so the common all-inside case
-        # needs one comparison instead of one per packet.
-        if burst[-1].timestamp < duration:
-            packets.extend(burst)
+        # needs one comparison instead of one per packet, and the
+        # crossing case keeps a prefix.
+        if offset:
+            base = len(times)
+            burst = train.emit(rng, time, flow_id, name, offset, times)
+            if times[-1] >= duration:
+                cut = bisect_left(times, duration, base)
+                del times[cut:]
+                del burst[cut - base:]
+            last = times[-1]
         else:
-            packets.extend(p for p in burst if p.timestamp < duration)
+            burst = train.emit(rng, time, flow_id, name)
+            if burst[-1].timestamp >= duration:
+                burst = [p for p in burst if p.timestamp < duration]
+            last = burst[-1].timestamp
+        packets.extend(burst)
         time += next_gap(time)
     # The same stable timestamp sort the PacketTrace constructor applies,
-    # so list and trace order agree packet for packet.
-    packets.sort(key=lambda p: p.timestamp)
+    # so list and trace order agree packet for packet.  Without
+    # overlapping bursts the list is already in order and the sort would
+    # be the identity.
+    if overlapped:
+        if offset:
+            order = sorted(range(len(times)), key=times.__getitem__)
+            packets = [packets[i] for i in order]
+        else:
+            packets.sort(key=lambda p: p.timestamp)
     return packets
 
 

@@ -3,15 +3,178 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.scenarios.shapes import OFFICE_HOURS
 from repro.traces import (
+    APPLICATION_NAMES,
+    Packet,
     PacketTrace,
+    generate_application_packets,
     merge_packet_streams,
     stream_application_packets,
     stream_user_day_packets,
 )
+from repro.traces import streaming
+from repro.traces.streaming import ChunkedPacketStream, _chunk_seed
+
+
+def _fields(packets):
+    """Every field of every packet (``Packet ==`` compares only two)."""
+    return [(p.timestamp, p.size, p.direction, p.flow_id, p.app)
+            for p in packets]
+
+
+def _shifted_copy_chunks(name, duration, seed, chunk_s, envelope):
+    """The chunk construction streams used before packets were built at
+    their absolute time: generate at local time, then copy every packet
+    of a chunk at a nonzero offset to ``timestamp + offset``."""
+    chunks = []
+    offset = 0.0
+    index = 0
+    while offset < duration:
+        length = min(chunk_s, duration - offset)
+        rate = None
+        if envelope is not None:
+            def rate(local, _offset=offset):
+                return envelope(_offset + local)
+        chunk = generate_application_packets(
+            name, duration=length, seed=_chunk_seed(seed, index), rate=rate)
+        if offset:
+            chunk = [Packet(p.timestamp + offset, p.size, p.direction,
+                            p.flow_id, p.app) for p in chunk]
+        chunks.append(chunk)
+        offset += length
+        index += 1
+    return chunks
+
+
+class TestBuiltOnce:
+    """Packets built at ``local + offset`` equal the old shifted copies."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(app=st.sampled_from(APPLICATION_NAMES),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           chunk_s=st.sampled_from((7.3, 60.0, 100.0, 333.3, 600.0)),
+           envelope=st.sampled_from((None, OFFICE_HOURS)))
+    def test_chunks_equal_shifted_copies(self, app, seed, chunk_s, envelope):
+        duration = 1200.0
+        stream = ChunkedPacketStream(app, duration, seed, chunk_s, envelope)
+        chunks = list(stream.packet_blocks())
+        reference = _shifted_copy_chunks(app, duration, seed, chunk_s,
+                                         envelope)
+        assert [_fields(c) for c in chunks] == \
+            [_fields(c) for c in reference]
+
+    @settings(max_examples=40, deadline=None)
+    @given(app=st.sampled_from(("social", "news", "microblog")),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           offset=st.one_of(st.floats(min_value=0.0, max_value=1e6),
+                            st.sampled_from((2.0**48, 2.0**50, 2.0**52))))
+    def test_offset_equals_shift_of_local_list(self, app, seed, offset):
+        # Offsets of 2**48 and up make distinct local times of
+        # overlapping bursts round to one absolute time: only a sort
+        # keyed on local time keeps the local order.
+        local = generate_application_packets(app, duration=900.0, seed=seed)
+        built = generate_application_packets(app, duration=900.0, seed=seed,
+                                             offset=offset)
+        assert _fields(built) == _fields(
+            Packet(p.timestamp + offset, p.size, p.direction, p.flow_id,
+                   p.app) for p in local)
+
+    # Seeds whose bursts overlap *and* collide at offset 2**50: a stable
+    # sort on absolute times orders these differently from local times.
+    @pytest.mark.parametrize("app,seed", [("social", 22), ("social", 167),
+                                          ("news", 24)])
+    def test_overlapping_bursts_keep_local_order(self, app, seed):
+        offset = 2.0**50
+        local = generate_application_packets(app, duration=900.0, seed=seed)
+        built = generate_application_packets(app, duration=900.0, seed=seed,
+                                             offset=offset)
+
+        def by_time(packets):
+            return sorted(packets, key=lambda p: p.timestamp)
+
+        assert _fields(local) == _fields(by_time(local))
+        assert _fields(built) == _fields(by_time(built))
+        assert _fields(built) == _fields(
+            Packet(p.timestamp + offset, p.size, p.direction, p.flow_id,
+                   p.app) for p in local)
+
+
+class TestSeek:
+    def test_seek_skips_chunks_before_start(self, monkeypatch):
+        spans = []
+        real = streaming.generate_application_packets
+
+        def counting(name, duration, seed, rate=None, offset=0.0):
+            spans.append((offset, offset + duration))
+            return real(name, duration=duration, seed=seed, rate=rate,
+                        offset=offset)
+
+        monkeypatch.setattr(streaming, "generate_application_packets",
+                            counting)
+        start = 1234.5
+        stream = stream_application_packets("im", duration=3000.0, seed=9,
+                                            chunk_s=100.0)
+        stream.seek(start)
+        kept = [p for p in stream if p.timestamp >= start]
+        assert spans and all(end >= start for _, end in spans)
+        # Only chunks 12..29 are generated: 12 ends at 1300 >= start.
+        assert [lo for lo, _ in spans] == [100.0 * k for k in range(12, 30)]
+        monkeypatch.undo()
+        full = stream_application_packets("im", duration=3000.0, seed=9,
+                                          chunk_s=100.0)
+        assert _fields(kept) == _fields(p for p in full
+                                        if p.timestamp >= start)
+
+    def test_seek_after_read_raises(self):
+        stream = stream_application_packets("im", duration=600.0, seed=0)
+        next(stream)
+        with pytest.raises(RuntimeError, match="seek"):
+            stream.seek(300.0)
+
+    def test_user_day_seek_forwards_to_every_app(self, monkeypatch):
+        spans = []
+        real = streaming.generate_application_packets
+
+        def counting(name, duration, seed, rate=None, offset=0.0):
+            spans.append((name, offset + duration))
+            return real(name, duration=duration, seed=seed, rate=rate,
+                        offset=offset)
+
+        monkeypatch.setattr(streaming, "generate_application_packets",
+                            counting)
+        start = 950.0
+        day = stream_user_day_packets(("im", "email"), duration=2000.0,
+                                      seed=3, chunk_s=200.0)
+        day.seek(start)
+        kept = [p for p in day if p.timestamp >= start]
+        assert {name for name, _ in spans} == {"im", "email"}
+        assert all(end >= start for _, end in spans)
+        monkeypatch.undo()
+        full = stream_user_day_packets(("im", "email"), duration=2000.0,
+                                       seed=3, chunk_s=200.0)
+        assert _fields(kept) == _fields(p for p in full
+                                        if p.timestamp >= start)
+
+    def test_seek_to_zero_changes_nothing(self):
+        plain = stream_application_packets("social", duration=900.0, seed=5,
+                                           chunk_s=250.0)
+        seeked = stream_application_packets("social", duration=900.0, seed=5,
+                                            chunk_s=250.0)
+        seeked.seek(0.0)
+        assert _fields(seeked) == _fields(plain)
+
+    def test_seek_past_the_end_yields_nothing(self):
+        stream = stream_application_packets("im", duration=600.0, seed=1,
+                                            chunk_s=100.0)
+        stream.seek(math.inf)
+        assert list(stream) == []
 
 
 class TestStreamApplicationPackets:
@@ -76,6 +239,28 @@ class TestMergeAndUserStreams:
         # The second app's flows live in a distinct high range.
         assert any(f >= 1_000_000 for f in flows)
         assert any(f < 1_000_000 for f in flows)
+
+    def test_user_day_equals_merge_of_remapped_app_streams(self):
+        packets = stream_user_day_packets(("im", "finance", "email"),
+                                          duration=300.0, seed=2)
+        apps = [
+            stream_application_packets(
+                app, duration=300.0, seed=streaming._app_stream_seed(2, i))
+            for i, app in enumerate(("im", "finance", "email"))
+        ]
+        remapped = [
+            [p.with_flow(p.flow_id + i * 1_000_000) for p in stream]
+            for i, stream in enumerate(apps)
+        ]
+        assert _fields(packets) == _fields(merge_packet_streams(*remapped))
+
+    def test_user_day_is_an_iterator(self):
+        day = stream_user_day_packets(("im", "email"), duration=300.0, seed=1)
+        first = next(day)
+        rest = list(day)
+        full = list(stream_user_day_packets(("im", "email"), duration=300.0,
+                                            seed=1))
+        assert _fields([first] + rest) == _fields(full)
 
 
 class TestAppStreamSeedDerivation:
